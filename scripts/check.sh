@@ -99,6 +99,21 @@ fi
 
 JOBS="$(nproc)"
 
+# expect_rc WANT CMD...: run CMD with stdout/stderr in the caller's $TMP
+# (a `local TMP` of the calling stage, seen through bash's dynamic scope)
+# and abort the whole gate unless it exits with WANT.
+expect_rc() {
+  local want="$1"
+  shift
+  local got=0
+  "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
+  if [[ "$got" != "$want" ]]; then
+    echo "FAIL: expected exit $want, got $got: $*" >&2
+    cat "$TMP/err" >&2
+    exit 1
+  fi
+}
+
 run_lint() {
   cmake -B build-lint -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -192,18 +207,6 @@ run_sanitize() {
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
 
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
-
   # Hostile instance files -> runtime error (1).
   printf 'sectorpack-instance v1\ncustomers 9223372036854775807\n' \
     > "$TMP/forged_count.inst"
@@ -294,18 +297,6 @@ run_batch_corpus() {
   # Self-clearing: a RETURN trap outlives the function that set it and
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
-
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
 
   expect_rc 0 "$CLI" generate --n 40 --k 3 --seed 11 -o "$TMP/b1.inst"
   expect_rc 0 "$CLI" generate --n 25 --k 2 --seed 12 --spatial hotspots \
@@ -423,18 +414,6 @@ run_obs() {
   # Self-clearing: a RETURN trap outlives the function that set it and
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
-
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
 
   expect_rc 0 "$CLI" generate --n 40 --k 3 --seed 21 -o "$TMP/o1.inst"
   expect_rc 0 "$CLI" generate --n 25 --k 2 --seed 22 --spatial hotspots \
@@ -569,18 +548,6 @@ run_huge() {
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
 
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
-
   # Small ranges keep each antenna's window to a thin annulus of the
   # 10^5-point disk -- the regime the grid targets, and cheap enough that
   # the exact-oracle greedy stays fast under ASan.
@@ -636,18 +603,6 @@ run_serve_corpus() {
   # Self-clearing: a RETURN trap outlives the function that set it and
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
-
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
 
   expect_rc 0 "$CLI" generate --n 2000 --k 3 --demand uniform-int \
     --range 25 --capacity-fraction 0.02 --seed 99 -o "$TMP/serve.inst"
@@ -770,18 +725,6 @@ run_race_corpus() {
   # Self-clearing: a RETURN trap outlives the function that set it and
   # would re-fire (with $TMP unbound) at the next function return.
   trap 'rm -rf "$TMP"; trap - RETURN' RETURN
-
-  expect_rc() {
-    local want="$1"
-    shift
-    local got=0
-    "$@" >"$TMP/out" 2>"$TMP/err" || got=$?
-    if [[ "$got" != "$want" ]]; then
-      echo "FAIL: expected exit $want, got $got: $*" >&2
-      cat "$TMP/err" >&2
-      exit 1
-    fi
-  }
 
   # 1. Contested race: verified output, winner metric, byte determinism.
   expect_rc 0 "$CLI" generate --n 800 --k 4 --seed 31 --spatial hotspots \

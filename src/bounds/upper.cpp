@@ -6,7 +6,7 @@
 #include "src/bounds/dinic.hpp"
 #include "src/bounds/upper.hpp"
 #include "src/geom/sweep.hpp"
-#include "src/knapsack/knapsack.hpp"
+#include "src/knapsack/incremental.hpp"
 
 namespace sectorpack::bounds {
 
@@ -40,36 +40,56 @@ double fixed_orientation_fractional_bound(const model::Instance& inst,
   return flow.max_flow(source, sink);
 }
 
-double orientation_free_bound(const model::Instance& inst) {
-  double per_antenna_total = 0.0;
-  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-    const model::AntennaSpec& ant = inst.antenna(j);
+namespace {
 
-    // Customers within this antenna's range.
-    std::vector<double> thetas;
-    std::vector<double> values;
-    std::vector<double> demands;
-    for (std::size_t i = 0; i < inst.num_customers(); ++i) {
-      if (inst.in_range(i, j)) {
-        thetas.push_back(inst.theta(i));
-        values.push_back(inst.value(i));
-        demands.push_back(inst.demand(i));
-      }
+// Best fractional (Dantzig) knapsack value over every leading-edge window
+// of antenna j's beam among `in_band`, its in-range customers: one sweep
+// walked leave-then-enter with one IncrementalOracle, O(log n) per window.
+// The fractional knapsack already enforces the capacity (for weighted
+// instances value and capacity are in different units anyway). Checks the
+// deadline every 64 windows; returns false on expiry.
+bool best_fractional_window(const model::Instance& inst, std::size_t j,
+                            std::span<const std::size_t> in_band,
+                            const core::Deadline& deadline, double* out) {
+  std::vector<double> thetas;
+  std::vector<knapsack::Item> items;
+  for (std::size_t i : in_band) {
+    thetas.push_back(inst.theta(i));
+    items.push_back({inst.value(i), inst.demand(i)});
+  }
+  const geom::WindowSweep sweep(thetas, inst.antenna(j).rho);
+  knapsack::IncrementalOracle inc(items, inst.antenna(j).capacity,
+                                  knapsack::Oracle::greedy());
+  double best = 0.0;
+  for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
+    if ((w & 63u) == 0 && deadline.expired()) return false;
+    if (w == 0) {
+      for (std::size_t m : sweep.members(0)) inc.add(m);
+    } else {
+      const geom::WindowDelta d = sweep.delta(w);
+      for (std::size_t m : d.leave) inc.remove(m);
+      for (std::size_t m : d.enter) inc.add(m);
     }
+    best = std::max(best, inc.upper_bound());
+  }
+  *out = best;
+  return true;
+}
 
-    // Best fractional window VALUE; the fractional knapsack already
-    // enforces the capacity, so no extra clamp is needed (and for weighted
-    // instances value and capacity are in different units anyway).
+}  // namespace
+
+double orientation_free_bound(const model::Instance& inst,
+                              const core::SolveOptions& opts) {
+  double per_antenna_total = 0.0;
+  std::vector<std::size_t> in_band;
+  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
+    inst.in_range_customers(j, in_band);
     double best_window = 0.0;
-    const geom::WindowSweep sweep(thetas, ant.rho);
-    std::vector<knapsack::Item> items;
-    for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
-      items.clear();
-      for (std::size_t m : sweep.members(w)) {
-        items.push_back({values[m], demands[m]});
-      }
-      best_window = std::max(
-          best_window, knapsack::fractional_upper_bound(items, ant.capacity));
+    if (!best_fractional_window(inst, j, in_band, opts.deadline,
+                                &best_window)) {
+      // Without every antenna's window term only the outer term is known.
+      core::note_expired("orientation_free_bound");
+      return inst.total_value();
     }
     per_antenna_total += best_window;
   }
@@ -88,38 +108,19 @@ double flow_window_bound(const model::Instance& inst,
   const std::size_t k = inst.num_antennas();
 
   // Per-antenna ceiling: min(capacity, best fractional window) -- computed
-  // exactly as in orientation_free_bound.
+  // exactly as in orientation_free_bound (value == demand here).
+  std::vector<std::vector<std::size_t>> in_band(k);
   std::vector<double> ceiling(k, 0.0);
-  std::vector<double> thetas;
-  std::vector<knapsack::Item> items;
   for (std::size_t j = 0; j < k; ++j) {
-    // Deadline check per antenna sweep. A truncated bound computation can
-    // not certify anything, so degrade to the always-valid trivial bound
-    // rather than return an under-estimate that is not an upper bound.
-    if (deadline.expired()) {
+    inst.in_range_customers(j, in_band[j]);
+    double best_window = 0.0;
+    if (!best_fractional_window(inst, j, in_band[j], deadline,
+                                &best_window)) {
+      // A truncated sweep under-estimates: degrade to the trivial bound.
       core::note_expired("flow_window_bound");
       return trivial_bound(inst);
     }
-    const model::AntennaSpec& ant = inst.antenna(j);
-    thetas.clear();
-    std::vector<double> demands;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (inst.in_range(i, j)) {
-        thetas.push_back(inst.theta(i));
-        demands.push_back(inst.demand(i));
-      }
-    }
-    double best_window = 0.0;
-    const geom::WindowSweep sweep(thetas, ant.rho);
-    for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
-      items.clear();
-      for (std::size_t m : sweep.members(w)) {
-        items.push_back({demands[m], demands[m]});
-      }
-      best_window = std::max(
-          best_window, knapsack::fractional_upper_bound(items, ant.capacity));
-    }
-    ceiling[j] = std::min(ant.capacity, best_window);
+    ceiling[j] = std::min(inst.antenna(j).capacity, best_window);
   }
 
   // Flow: source -> customer (demand) -> in-range antenna -> sink (ceiling).
@@ -131,9 +132,7 @@ double flow_window_bound(const model::Instance& inst,
     flow.add_edge(source, 1 + i, inst.demand(i));
   }
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (inst.in_range(i, j)) flow.add_edge(1 + i, 1 + n + j, kInf);
-    }
+    for (std::size_t i : in_band[j]) flow.add_edge(1 + i, 1 + n + j, kInf);
     flow.add_edge(1 + n + j, sink, ceiling[j]);
   }
   const double value = flow.max_flow(source, sink, deadline);

@@ -20,9 +20,9 @@ namespace sectorpack::race {
 
 namespace {
 
-/// Tolerance for the proved-optimal check against trivial_bound. The bound
-/// and served_value sum the same demands in different orders, so they can
-/// differ by accumulated rounding even at true optimality.
+/// Tolerance for the proved-optimal check against the proof bound. The
+/// bound and served_value sum the same numbers in different orders, so
+/// they can differ by accumulated rounding even at true optimality.
 constexpr double kBoundEps = 1e-9;
 
 /// Shared best-so-far cell. Lanes publish under the mutex; the warm-start
@@ -157,7 +157,13 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
     return sol;
   }
 
-  const double bound = bounds::trivial_bound(inst);
+  // The proof bound must be in served-value units: trivial_bound bounds
+  // served demand, which on a value-weighted instance any lane may exceed
+  // at once, so those use the orientation-free bound instead.
+  const double bound =
+      inst.is_value_weighted()
+          ? bounds::orientation_free_bound(inst, config.solve)
+          : bounds::trivial_bound(inst);
   srv::SolverKey key;
   key.seed = config.seed;
   key.iterations = config.iterations;

@@ -9,9 +9,11 @@
 // formulations). race::solve turns that spread into a feature: each
 // portfolio member runs in its own lane with its own sub-deadline, every
 // completed result is published to a shared incumbent cell, and the first
-// lane that provably hits bounds::trivial_bound cancels the rest through
-// the deadline tree (core::Deadline::after_at_most links each lane's
-// deadline under the race's cancellable hub).
+// lane that provably hits an upper bound on served value
+// (bounds::trivial_bound, or bounds::orientation_free_bound on
+// value-weighted instances) cancels the rest through the deadline tree
+// (core::Deadline::after_at_most links each lane's deadline under the
+// race's cancellable hub).
 //
 // Determinism contract: the greedy lane always runs first, inline, and is
 // the warm-start seed handed to every seedable lane -- lanes never seed
@@ -62,7 +64,9 @@ struct LaneOutcome {
 /// What happened, mirrored into the race.* obs metrics.
 struct RaceStats {
   std::string winner;
-  bool proved_optimal = false;     ///< winner matched bounds::trivial_bound
+  /// Winner's served value reached the race's upper bound: trivial_bound,
+  /// or orientation_free_bound on value-weighted instances.
+  bool proved_optimal = false;
   std::uint64_t cancelled = 0;     ///< lanes cancelled by cancel-on-winner
   std::uint64_t incumbent_publishes = 0;
   std::uint64_t exchange_adoptions = 0;  ///< lanes that adopted the seed

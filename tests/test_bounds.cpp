@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "src/assign/assign.hpp"
 #include "src/bounds/dinic.hpp"
+#include "src/geom/sweep.hpp"
+#include "src/knapsack/knapsack.hpp"
 #include "src/model/validate.hpp"
 #include "src/sectors/sectors.hpp"
 #include "src/sim/generators.hpp"
@@ -11,6 +18,7 @@
 namespace bounds = sectorpack::bounds;
 namespace model = sectorpack::model;
 namespace geom = sectorpack::geom;
+namespace knapsack = sectorpack::knapsack;
 namespace sim = sectorpack::sim;
 namespace sectors = sectorpack::sectors;
 
@@ -199,5 +207,169 @@ TEST(Bounds, OrderingChain) {
     const double greedy =
         model::served_demand(inst, sectors::solve_greedy(inst));
     EXPECT_LE(greedy, of + 1e-6);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence with the sort-based reference: every leading-edge window's
+// item list rebuilt and handed to knapsack::fractional_upper_bound, which
+// re-sorts it by density. The bounds walk the sweep incrementally instead;
+// on integer demands every partial sum is exact, so both must agree bit for
+// bit.
+
+namespace {
+
+double reference_best_window(const model::Instance& inst, std::size_t j) {
+  std::vector<double> thetas;
+  std::vector<knapsack::Item> in_band;
+  for (std::size_t i = 0; i < inst.num_customers(); ++i) {
+    if (inst.in_range(i, j)) {
+      thetas.push_back(inst.theta(i));
+      in_band.push_back({inst.value(i), inst.demand(i)});
+    }
+  }
+  const geom::WindowSweep sweep(thetas, inst.antenna(j).rho);
+  double best = 0.0;
+  std::vector<knapsack::Item> items;
+  for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
+    items.clear();
+    for (std::size_t m : sweep.members(w)) items.push_back(in_band[m]);
+    best = std::max(best, knapsack::fractional_upper_bound(
+                              items, inst.antenna(j).capacity));
+  }
+  return best;
+}
+
+double reference_orientation_free(const model::Instance& inst) {
+  double total = 0.0;
+  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
+    total += reference_best_window(inst, j);
+  }
+  return std::min(inst.total_value(), total);
+}
+
+double reference_flow_window(const model::Instance& inst) {
+  const std::size_t n = inst.num_customers();
+  const std::size_t k = inst.num_antennas();
+  bounds::Dinic flow(n + k + 2);
+  const std::size_t sink = n + k + 1;
+  for (std::size_t i = 0; i < n; ++i) flow.add_edge(0, 1 + i, inst.demand(i));
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (inst.in_range(i, j)) {
+        flow.add_edge(1 + i, 1 + n + j,
+                      std::numeric_limits<double>::infinity());
+      }
+    }
+    flow.add_edge(1 + n + j, sink,
+                  std::min(inst.antenna(j).capacity,
+                           reference_best_window(inst, j)));
+  }
+  return flow.max_flow(0, sink);
+}
+
+// Generator instances over every spatial shape, k = 3..8 antennas with
+// beams 30..90 degrees, and ranges short enough that some customers fall
+// outside them.
+std::vector<model::Instance> generator_corpus(sim::DemandDist demand) {
+  std::vector<model::Instance> corpus;
+  std::uint64_t seed = 0;
+  for (const sim::Spatial shape :
+       {sim::Spatial::kUniformDisk, sim::Spatial::kHotspots,
+        sim::Spatial::kRing, sim::Spatial::kArcBand}) {
+    for (std::size_t k = 3; k <= 8; ++k) {
+      ++seed;
+      sim::WorkloadConfig wc;
+      wc.num_customers = 60 + 30 * (seed % 5);
+      wc.spatial = shape;
+      wc.demand = demand;
+      sim::AntennaConfig ac;
+      ac.count = k;
+      ac.rho = geom::kPi * static_cast<double>(30 + 12 * (k - 3)) / 180.0;
+      ac.range = 70.0 + 8.0 * static_cast<double>(k);
+      ac.capacity_fraction = 0.25 + 0.5 * static_cast<double>(seed % 6);
+      sim::Rng rng(seed);
+      corpus.push_back(sim::make_instance(wc, ac, rng));
+    }
+  }
+  return corpus;
+}
+
+model::Instance random_real_inst(std::uint64_t seed, bool weighted) {
+  sim::Rng rng(seed);
+  model::InstanceBuilder b;
+  for (std::size_t i = 0; i < 90; ++i) {
+    const double theta = rng.uniform(0.0, geom::kTwoPi);
+    const double r = rng.uniform(1.0, 12.0);
+    const double demand = rng.uniform(0.1, 9.0);
+    if (weighted) {
+      b.add_weighted_customer_polar(theta, r, demand, rng.uniform(0.0, 30.0));
+    } else {
+      b.add_customer_polar(theta, r, demand);
+    }
+  }
+  for (std::size_t j = 0; j < 5; ++j) {
+    b.add_antenna(rng.uniform(0.5, 1.6), rng.uniform(6.0, 12.0),
+                  rng.uniform(5.0, 120.0));
+  }
+  return b.build();
+}
+
+void expect_close(double got, double want, const char* what,
+                  std::uint64_t seed) {
+  EXPECT_LE(std::abs(got - want), 1e-9 * std::max(1.0, std::abs(want)))
+      << what << " seed " << seed << ": " << got << " vs " << want;
+}
+
+}  // namespace
+
+TEST(WindowBoundEquivalence, BitIdenticalOnIntegerDemands) {
+  for (const sim::DemandDist demand :
+       {sim::DemandDist::kUnit, sim::DemandDist::kUniformInt,
+        sim::DemandDist::kParetoInt}) {
+    for (const model::Instance& inst : generator_corpus(demand)) {
+      EXPECT_EQ(bounds::orientation_free_bound(inst),
+                reference_orientation_free(inst));
+      EXPECT_EQ(bounds::flow_window_bound(inst), reference_flow_window(inst));
+    }
+  }
+}
+
+TEST(WindowBoundEquivalence, WithinRoundingOnRealDemands) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const model::Instance inst = random_real_inst(seed, /*weighted=*/false);
+    expect_close(bounds::orientation_free_bound(inst),
+                 reference_orientation_free(inst), "orientation_free", seed);
+    expect_close(bounds::flow_window_bound(inst),
+                 reference_flow_window(inst), "flow_window", seed);
+  }
+}
+
+TEST(WindowBoundEquivalence, OrientationFreeMatchesOnValueWeighted) {
+  // Integer demands and values: exact.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    sim::Rng rng(seed + 700);
+    model::InstanceBuilder b;
+    for (std::size_t i = 0; i < 80; ++i) {
+      b.add_weighted_customer_polar(
+          rng.uniform(0.0, geom::kTwoPi), rng.uniform(1.0, 12.0),
+          static_cast<double>(rng.uniform_int(1, 8)),
+          static_cast<double>(rng.uniform_int(0, 60)));
+    }
+    for (std::size_t j = 0; j < 4; ++j) {
+      b.add_antenna(rng.uniform(0.5, 1.6), rng.uniform(6.0, 12.0),
+                    static_cast<double>(rng.uniform_int(5, 30)));
+    }
+    const model::Instance inst = b.build();
+    ASSERT_TRUE(inst.is_value_weighted());
+    EXPECT_EQ(bounds::orientation_free_bound(inst),
+              reference_orientation_free(inst))
+        << "seed " << seed;
+  }
+  // Real demands and values: within rounding.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const model::Instance inst = random_real_inst(seed + 40, /*weighted=*/true);
+    expect_close(bounds::orientation_free_bound(inst),
+                 reference_orientation_free(inst), "weighted", seed);
   }
 }

@@ -449,6 +449,16 @@ TEST(DeadlineSolvers, FlowWindowBoundDegradesToTrivial) {
   EXPECT_GE(degraded + 1e-9, bounds::flow_window_bound(inst));
 }
 
+TEST(DeadlineSolvers, OrientationFreeBoundDegradesToTotalValue) {
+  // total_value is the bound's own outer term, so it stays a valid upper
+  // bound on served value when the window sweeps are cut short.
+  const model::Instance inst = medium_instance(9, /*weighted=*/true);
+  const double full = bounds::orientation_free_bound(inst);
+  ASSERT_LT(full, inst.total_value());
+  EXPECT_DOUBLE_EQ(bounds::orientation_free_bound(inst, expired_options()),
+                   inst.total_value());
+}
+
 // ---------------------------------------------------------------------------
 // Timing and invariance properties.
 

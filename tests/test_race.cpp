@@ -127,6 +127,41 @@ TEST(Race, NeverWorseThanAnySingleFamilyUnlimitedBudget) {
   }
 }
 
+TEST(Race, NeverWorseThanAnyLaneOnValueWeightedInstances) {
+  // Served value and trivial_bound are in different units here: a proof
+  // against the demand bound would let the first finished lane cancel
+  // better ones. The race must return at least what each lane returns on
+  // its own.
+  race::RaceConfig config;
+  config.iterations = 300;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    sim::Rng rng(seed);
+    model::InstanceBuilder b;
+    for (int i = 0; i < 12; ++i) {
+      b.add_weighted_customer_polar(
+          rng.uniform(0.0, geom::kTwoPi), rng.uniform(1.0, 28.0),
+          static_cast<double>(rng.uniform_int(1, 6)),
+          static_cast<double>(rng.uniform_int(1, 60)));
+    }
+    b.add_antenna(1.0, 30.0, 12.0);
+    b.add_antenna(0.8, 30.0, 10.0);
+    const model::Instance inst = b.build();
+    ASSERT_TRUE(inst.is_value_weighted());
+    const double race_value =
+        model::served_value(inst, race::solve(inst, config));
+    srv::SolverKey key;
+    key.seed = config.seed;
+    key.iterations = config.iterations;
+    for (const std::string& name : config.portfolio) {
+      key.family = name;
+      const model::Solution lane =
+          srv::find_solver_family(name)->run(inst, key, {});
+      EXPECT_GE(race_value + 1e-9, model::served_value(inst, lane))
+          << "seed " << seed << " lane " << name;
+    }
+  }
+}
+
 TEST(Race, ByteIdenticalAcrossRepeatsUnlimitedBudget) {
   const model::Instance inst = random_instance(20, 120, 4);
   race::RaceConfig config;

@@ -360,7 +360,7 @@ int cmd_solve(const Args& args) {
 
   const double served = model::served_value(inst, sol);
   const double bound = inst.is_value_weighted()
-                           ? bounds::orientation_free_bound(inst)
+                           ? bounds::orientation_free_bound(inst, opts)
                            : bounds::flow_window_bound(inst, opts);
   if (obs::enabled()) {
     // Solution-quality telemetry in permille of the cheap demand/capacity
@@ -439,8 +439,8 @@ int cmd_bound(const Args& args) {
   const model::Instance inst = load_instance(args);
   const core::SolveOptions opts = solve_options(args);
   std::cout << "trivial            " << bounds::trivial_bound(inst) << "\n";
-  std::cout << "orientation-free   " << bounds::orientation_free_bound(inst)
-            << "\n";
+  std::cout << "orientation-free   "
+            << bounds::orientation_free_bound(inst, opts) << "\n";
   if (inst.is_value_weighted()) {
     std::cout << "flow-window        (n/a: value-weighted instance)\n";
   } else {
