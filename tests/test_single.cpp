@@ -238,11 +238,29 @@ TEST(SingleExact, RotationInvariance) {
 
 // Parameterized oracle sweep: every oracle keeps the composed guarantee on
 // the full P1 pipeline.
+namespace {
+
 struct OracleCase {
   ks::OracleKind kind;
   double eps;
   double floor;
 };
+
+// gtest_discover_tests names each case by its printed value. The default
+// printer dumps the raw bytes, padding after `kind` included, so the names
+// would change from build to build.
+void PrintTo(const OracleCase& oc, std::ostream* os) {
+  switch (oc.kind) {
+    case ks::OracleKind::kExactAuto: *os << "exact_auto"; break;
+    case ks::OracleKind::kExactDP: *os << "exact_dp"; break;
+    case ks::OracleKind::kExactBB: *os << "exact_bb"; break;
+    case ks::OracleKind::kGreedy: *os << "greedy"; break;
+    case ks::OracleKind::kFptas: *os << "fptas"; break;
+  }
+  *os << " eps=" << oc.eps << " floor=" << oc.floor;
+}
+
+}  // namespace
 
 class SingleOracleProperty : public ::testing::TestWithParam<OracleCase> {};
 
