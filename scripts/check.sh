@@ -26,7 +26,9 @@
 #              --jobs 8 under ASan+UBSan and again under TSan, asserting
 #              one response per request, exact per-status counts,
 #              miss/solve byte-identity, verified cache hits, and cache
-#              metrics in --stats json.
+#              metrics in --stats json; plus a SIGINT sent after the whole
+#              input was admitted, which must drain the batch well before
+#              the requests' own budgets with one response per line.
 #   serve      the `sectorpack serve` session contract (docs/serving.md):
 #              one register plus 50 mixed deltas (add/remove/demand/
 #              antenna) under ASan+UBSan; every response's incremental
@@ -575,6 +577,62 @@ run_huge() {
   echo "[gate] huge: PASS (ASan+UBSan, build dir: $build_dir)"
 }
 
+# Drain after end of input, against the build at $1: every line of a
+# four-request batch is admitted at once (--queue-capacity above the input
+# size) and one worker holds the head-of-line request, an annealing run
+# with a 20 s budget. SIGINT arrives a second later, long after the reader
+# hit end of input. The batch must return well before any 20 s budget runs
+# out, exit 0, and answer every line exactly once: the head request as a
+# budget_exhausted incumbent, the three that never started as rejected.
+run_batch_drain_after_eof() {
+  local CLI="$1/tools/sectorpack"
+  local TMP
+  TMP="$(mktemp -d)"
+  # Self-clearing: a RETURN trap outlives the function that set it and
+  # would re-fire (with $TMP unbound) at the next function return.
+  trap 'rm -rf "$TMP"; trap - RETURN' RETURN
+
+  expect_rc 0 "$CLI" generate --n 40 --k 3 --seed 21 -o "$TMP/d.inst"
+  python3 - "$TMP" <<'EOF'
+import json, sys
+tmp = sys.argv[1]
+inst = "%s/d.inst" % tmp
+lines = [json.dumps({"id": "slow", "instance_file": inst,
+                     "solver": "annealing", "iterations": 2000000000,
+                     "time_limit": 20})]
+lines += [json.dumps({"id": "q%d" % i, "instance_file": inst,
+                      "solver": "greedy", "time_limit": 20})
+          for i in range(3)]
+open("%s/drain.jsonl" % tmp, "w").write("\n".join(lines) + "\n")
+EOF
+  local start rc=0
+  start="$(date +%s.%N)"
+  "$CLI" batch --in "$TMP/drain.jsonl" --out "$TMP/drain.out" --jobs 1 \
+    --queue-capacity 16 2>"$TMP/drain.err" &
+  local pid=$!
+  sleep 1
+  kill -INT "$pid"
+  wait "$pid" || rc=$?
+  if [[ "$rc" != 0 ]]; then
+    echo "FAIL: drained batch exited $rc" >&2
+    cat "$TMP/drain.err" >&2
+    exit 1
+  fi
+  python3 - "$TMP/drain.out" "$start" "$(date +%s.%N)" <<'EOF'
+import json, sys
+path, start, end = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+assert end - start < 10.0, "drain took %.1f s: SIGINT after end of input " \
+    "did not cancel the solve in flight" % (end - start)
+responses = [json.loads(l) for l in open(path)]
+assert [r["index"] for r in responses] == [0, 1, 2, 3], responses
+statuses = [r["status"] for r in responses]
+assert statuses == ["budget_exhausted", "rejected", "rejected",
+                    "rejected"], statuses
+print("batch drain after end of input OK: %.2f s, %s" %
+      (end - start, ",".join(statuses)))
+EOF
+}
+
 run_batch() {
   local build_dir
   # ASan + UBSan pass.
@@ -583,12 +641,14 @@ run_batch() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$build_dir" -j"$JOBS"
   run_batch_corpus "$build_dir" 8
+  run_batch_drain_after_eof "$build_dir"
   # TSan pass at --jobs 8: races in the queue / cache / reorder buffer.
   cmake -B build-tsan -S . -DSECTORPACK_TSAN=ON -DSECTORPACK_SANITIZE=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-tsan -j"$JOBS"
   run_batch_corpus build-tsan 8
-  echo "[gate] batch: PASS (ASan+UBSan and TSan, --jobs 8)"
+  echo "[gate] batch: PASS (ASan+UBSan and TSan, --jobs 8; drain after" \
+       "end of input)"
 }
 
 # The 50-delta session-serving byte-identity battery against the build at

@@ -41,7 +41,7 @@ inline constexpr int kStatsSchemaVersion = 1;
 [[nodiscard]] std::string prometheus_name(std::string_view name);
 
 /// Prometheus text exposition (0.0.4) of a snapshot: counters as `counter`,
-/// gauges as `gauge`, both histogram kinds as `histogram` with cumulative
+/// gauges as `gauge`, HDR histograms as `histogram` with cumulative
 /// `_bucket{le="..."}` series ending in `le="+Inf"`, plus `_sum`/`_count`.
 [[nodiscard]] std::string to_prometheus(const Snapshot& snap);
 

@@ -1,81 +1,28 @@
 #include "src/srv/engine.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <istream>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "src/bench_util/timer.hpp"
 #include "src/core/sync.hpp"
-#include "src/bounds/upper.hpp"
 #include "src/model/io.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/bounded_queue.hpp"
 #include "src/par/thread_pool.hpp"
-#include "src/race/race.hpp"
 #include "src/srv/cache.hpp"
 #include "src/srv/jsonl.hpp"
+#include "src/srv/protocol.hpp"
 #include "src/srv/solvers.hpp"
 #include "src/verify/verify.hpp"
 
 namespace sectorpack::srv {
-
-namespace {
-
-// Largest double that still identifies one integer exactly; JSON carries
-// seeds/iterations as doubles, and an imprecise integer field is a typo,
-// not a request.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-// Reject absurd per-request budgets at parse time. Anything above ~3 years
-// is indistinguishable from "no limit" but would historically overflow the
-// deadline's duration cast (Deadline::after now clamps too -- this is the
-// protocol-level bound, that is the defense in depth).
-constexpr double kMaxTimeLimitSeconds = 1e8;
-
-std::uint64_t require_integer_field(const char* name, double value) {
-  if (!(value >= 0.0) || value > kMaxExactInteger ||
-      std::floor(value) != value) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-const JsonValue* find_field(const JsonObject& object, const char* name) {
-  const auto it = object.find(name);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-std::string require_string_field(const JsonObject& object, const char* name) {
-  const JsonValue* v = find_field(object, name);
-  if (v == nullptr) return {};
-  if (v->kind != JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a string");
-  }
-  return v->string;
-}
-
-}  // namespace
-
-const char* to_string(RequestStatus status) noexcept {
-  switch (status) {
-    case RequestStatus::kOk: return "ok";
-    case RequestStatus::kBudgetExhausted: return "budget_exhausted";
-    case RequestStatus::kInvalid: return "invalid";
-    case RequestStatus::kRejected: return "rejected";
-  }
-  return "unknown";
-}
 
 bool is_known_solver(const std::string& family) noexcept {
   return find_solver_family(family) != nullptr;
@@ -92,66 +39,14 @@ model::Solution run_solver(const model::Instance& inst, const SolverKey& key,
 
 Request parse_request(const std::string& line, std::size_t index) {
   const JsonObject object = parse_flat_object(line);
-  for (const auto& [key, value] : object) {
-    if (key != "id" && key != "instance" && key != "instance_file" &&
-        key != "solver" && key != "seed" && key != "iterations" &&
-        key != "portfolio" && key != "time_limit") {
-      throw std::runtime_error("unknown request field '" + key + "'");
-    }
-  }
-
+  check_fields(object, {"id", "instance", "instance_file", "solver", "seed",
+                        "iterations", "portfolio", "time_limit"});
   Request req;
   req.index = index;
-  req.id = require_string_field(object, "id");
-  req.instance_file = require_string_field(object, "instance_file");
-  req.instance_text = require_string_field(object, "instance");
-  if (req.instance_file.empty() == req.instance_text.empty()) {
-    throw std::runtime_error(
-        "exactly one of 'instance_file' and 'instance' is required");
-  }
-
-  const std::string family = require_string_field(object, "solver");
-  if (!family.empty()) req.solver.family = family;
-  if (!is_known_solver(req.solver.family)) {
-    throw std::runtime_error("unknown solver '" + req.solver.family + "'");
-  }
-
-  if (const JsonValue* seed = find_field(object, "seed")) {
-    if (seed->kind != JsonValue::Kind::kNumber) {
-      throw std::runtime_error("field 'seed' must be a number");
-    }
-    req.solver.seed = require_integer_field("seed", seed->number);
-  }
-  if (const JsonValue* iters = find_field(object, "iterations")) {
-    if (iters->kind != JsonValue::Kind::kNumber) {
-      throw std::runtime_error("field 'iterations' must be a number");
-    }
-    req.solver.iterations = require_integer_field("iterations", iters->number);
-  }
-  if (const JsonValue* portfolio = find_field(object, "portfolio")) {
-    if (portfolio->kind != JsonValue::Kind::kString) {
-      throw std::runtime_error("field 'portfolio' must be a string");
-    }
-    if (req.solver.family != "race") {
-      throw std::runtime_error(
-          "field 'portfolio' requires solver 'race'");
-    }
-    // Validate at parse time so a bad portfolio is an invalid request, not
-    // a per-solve failure after the instance loaded.
-    (void)race::parse_portfolio(portfolio->string);
-    req.solver.portfolio = portfolio->string;
-  }
-  if (const JsonValue* limit = find_field(object, "time_limit")) {
-    if (limit->kind != JsonValue::Kind::kNumber || !(limit->number >= 0.0) ||
-        std::isnan(limit->number)) {
-      throw std::runtime_error("field 'time_limit' must be a number >= 0");
-    }
-    if (limit->number > kMaxTimeLimitSeconds) {
-      throw std::runtime_error(
-          "field 'time_limit' out of range (max 1e8 seconds)");
-    }
-    req.time_limit = limit->number;
-  }
+  req.id = optional_string_field(object, "id");
+  parse_solve_target(object, req.instance_file, req.instance_text,
+                     req.solver);
+  req.time_limit = parse_time_limit(object);
   return req;
 }
 
@@ -175,32 +70,14 @@ class Engine {
   Engine(std::ostream& out, const BatchConfig& config)
       : out_(out),
         config_(config),
-        global_(config.time_limit >= 0.0 ? core::Deadline::after(config.time_limit)
-                                         : core::Deadline::never()),
+        drain_("batch", config.time_limit, config.interrupt),
         cache_(config.cache_entries),
-        slo_(config.slo_window),
-        c_ok_(obs::counter("srv.requests.ok")),
-        c_budget_(obs::counter("srv.requests.budget_exhausted")),
-        c_invalid_(obs::counter("srv.requests.invalid")),
-        c_rejected_(obs::counter("srv.requests.rejected")),
+        ledger_("srv", config.slo_window),
         c_cache_mismatch_(obs::counter("srv.cache.mismatch")),
         g_queue_depth_(obs::gauge("srv.queue.depth")),
         g_inflight_(obs::gauge("srv.inflight")),
         h_request_ms_(obs::hdr_histogram("srv.request_ms")),
-        h_queue_us_(obs::hdr_histogram("srv.queue_wait_us")),
-        h_gap_(obs::hdr_histogram("quality.gap_permille")) {
-    // Pre-register the per-family quality counters so the worker hot path
-    // never takes the registration mutex. Driven by the solver registry so
-    // a new family gets its counters for free.
-    for (const SolverFamily& family : solver_families()) {
-      quality_.emplace(
-          family.name,
-          QualityCounters{
-              obs::counter(std::string("quality.") + family.name + ".solves"),
-              obs::counter(std::string("quality.") + family.name +
-                           ".gap_permille_sum")});
-    }
-  }
+        h_queue_us_(obs::hdr_histogram("srv.queue_wait_us")) {}
 
   BatchReport run(std::istream& in) {
     {
@@ -210,14 +87,13 @@ class Engine {
                                        ? config_.queue_capacity
                                        : std::size_t{4} * workers;
       queue_ = std::make_unique<par::BoundedQueue<Request>>(capacity);
-      inflight_.assign(workers, core::Deadline{});
       // The reorder window bounds completed-but-unemitted responses, so a
       // single slow request cannot make the output buffer grow with the
       // whole input.
       window_ = capacity + std::size_t{2} * workers + 16;
 
       for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([this, w] { pump(w); });
+        pool.submit([this] { pump(); });
       }
 
       std::string line;
@@ -226,10 +102,9 @@ class Engine {
           continue;  // blank line: not a request, no response
         }
         const std::size_t index = total_++;
-        maybe_trigger_drain();
-        if (draining()) {
+        if (drain_.check()) {
           complete_unsolved(index, /*id=*/"", RequestStatus::kRejected,
-                            drain_reason_);
+                            drain_.reason());
           continue;
         }
         Request req;
@@ -245,25 +120,25 @@ class Engine {
 
       queue_->close();
       // ThreadPool's destructor drains and joins the pumps; after this
-      // block every admitted request has completed.
+      // block every admitted request has completed. Until then the drain
+      // monitor keeps watching, so an interrupt after the last line was
+      // read still cancels the solves in flight.
     }
+    drain_.stop();
     flush_ready();
-    // Publish the rolling-window view into `slo.*` gauges so `--stats json`
-    // and the exporter's final tick carry it alongside the run totals.
-    slo_.publish();
     if (config_.access_log != nullptr) config_.access_log->flush();
 
     BatchReport report;
     report.requests = total_;
-    report.ok = n_ok_;
-    report.budget_exhausted = n_budget_;
-    report.invalid = n_invalid_;
-    report.rejected = n_rejected_;
+    report.ok = ledger_.count(RequestStatus::kOk);
+    report.budget_exhausted = ledger_.count(RequestStatus::kBudgetExhausted);
+    report.invalid = ledger_.count(RequestStatus::kInvalid);
+    report.rejected = ledger_.count(RequestStatus::kRejected);
     report.cache_hits = cache_.hits();
     report.cache_misses = cache_.misses();
     report.cache_evictions = cache_.evictions();
-    report.interrupted = draining();
-    report.slo_summary = slo_.summary().to_string();
+    report.interrupted = drain_.draining();
+    report.slo_summary = ledger_.publish_slo();
     return report;
   }
 
@@ -290,53 +165,18 @@ class Engine {
     const std::string id = req.id;
     req.admitted_at = std::chrono::steady_clock::now();
     bool pushed = false;
-    while (!pushed && !draining()) {
-      Request& slot = req;
-      pushed = queue_->try_push_for(slot, std::chrono::milliseconds(50));
+    while (!pushed && !drain_.check()) {
+      pushed = queue_->try_push_for(req, std::chrono::milliseconds(50));
       g_queue_depth_.set(static_cast<double>(queue_->size()));
-      if (!pushed) maybe_trigger_drain();
     }
     if (!pushed) {
-      complete_unsolved(index, id, RequestStatus::kRejected, drain_reason_);
+      complete_unsolved(index, id, RequestStatus::kRejected, drain_.reason());
     }
-  }
-
-  void maybe_trigger_drain() {
-    if (draining()) return;
-    // sp-sync: relaxed poll of the caller's interrupt flag; detection may
-    // lag by one 50ms admission round, which drain tolerates.
-    if (config_.interrupt != nullptr &&
-        config_.interrupt->load(std::memory_order_relaxed)) {
-      trigger_drain("batch draining (interrupted)", /*interrupted=*/true);
-    } else if (global_.expired()) {
-      trigger_drain("global time limit exhausted before start",
-                    /*interrupted=*/false);
-    }
-  }
-
-  void trigger_drain(const char* reason, bool interrupted) {
-    {
-      const core::LockGuard lock(inflight_mu_);
-      // sp-sync: relaxed read is exact under inflight_mu_ -- every
-      // draining_ store happens inside this critical section.
-      if (draining_.load(std::memory_order_relaxed)) return;
-      drain_reason_ = reason;
-      if (interrupted) core::note_expired("srv.batch");
-      draining_.store(true, std::memory_order_release);
-      // In-flight solves finish promptly as feasible budget-exhausted
-      // incumbents; queued requests are rejected at dequeue time.
-      for (const core::Deadline& d : inflight_) d.cancel();
-    }
-    global_.cancel();
-  }
-
-  [[nodiscard]] bool draining() const {
-    return draining_.load(std::memory_order_acquire);
   }
 
   // ---------------------------------------------------------------- workers
 
-  void pump(unsigned slot) {
+  void pump() {
     Request req;
     while (queue_->pop(req)) {
       g_queue_depth_.set(static_cast<double>(queue_->size()));
@@ -347,7 +187,7 @@ class Engine {
       const std::size_t index = req.index;
       const std::string id = req.id;
       try {
-        process(std::move(req), slot);
+        process(std::move(req));
       } catch (const std::exception& e) {
         // Defensive: process() handles per-request errors itself; anything
         // escaping is an engine bug surfaced as an invalid response rather
@@ -361,7 +201,7 @@ class Engine {
     }
   }
 
-  void process(Request req, unsigned slot) {
+  void process(Request req) {
     const obs::ScopedSpan span("srv.request");
     const bench_util::Timer timer;
     // Queue wait: admission (admit() stamped the request) to dequeue. A
@@ -375,17 +215,17 @@ class Engine {
                   .count();
     h_queue_us_.observe(queue_us);
 
-    if (draining()) {
+    // A request that waited out an interrupt or the global budget in the
+    // queue never starts: it is rejected, not solved under a dead deadline.
+    if (drain_.check()) {
       complete_unsolved(req.index, req.id, RequestStatus::kRejected,
-                        drain_reason_, queue_us);
+                        drain_.reason(), queue_us);
       return;
     }
 
     model::Instance inst;
     try {
-      inst = req.instance_file.empty()
-                 ? model::instance_from_string(req.instance_text)
-                 : model::read_instance_file(req.instance_file);
+      inst = load_target_instance(req.instance_file, req.instance_text);
     } catch (const std::exception& e) {
       complete_unsolved(req.index, req.id, RequestStatus::kInvalid, e.what(),
                         queue_us);
@@ -415,34 +255,16 @@ class Engine {
       }
     }
 
-    // Per-request budget, clamped under the remaining global budget, and
-    // always cancellable so a drain can interrupt this solve. Register the
-    // deadline before solving; if a drain already started, cancel it
-    // ourselves (the drain's cancel sweep may have run before we
-    // registered).
+    // Per-request budget, clamped under the remaining global budget and
+    // linked into its cancel tree, so a drain interrupts this solve.
     const core::Deadline deadline =
-        core::Deadline::after_at_most(req.time_limit, global_);
-    {
-      const core::LockGuard lock(inflight_mu_);
-      inflight_[slot] = deadline;
-      // sp-sync: relaxed read is exact under inflight_mu_ (stores happen
-      // under it in trigger_drain).
-      if (draining_.load(std::memory_order_relaxed)) deadline.cancel();
-    }
-
+        core::Deadline::after_at_most(req.time_limit, drain_.global());
     model::Solution sol;
-    std::string error;
     try {
       sol = run_solver(inst, req.solver, core::SolveOptions{deadline});
     } catch (const std::exception& e) {
-      error = e.what();  // e.g. exact-solver tuple-space overflow
-    }
-    {
-      const core::LockGuard lock(inflight_mu_);
-      inflight_[slot] = core::Deadline{};
-    }
-    if (!error.empty()) {
-      complete_unsolved(req.index, req.id, RequestStatus::kInvalid, error,
+      // e.g. exact-solver tuple-space overflow
+      complete_unsolved(req.index, req.id, RequestStatus::kInvalid, e.what(),
                         queue_us);
       return;
     }
@@ -461,14 +283,15 @@ class Engine {
   void complete_solved(const Request& req, const model::Instance& inst,
                        const CanonicalInstance& canon, model::Solution sol,
                        bool cache_hit, double elapsed_ms, double queue_us) {
-    const RequestStatus status =
-        sol.status == model::SolveStatus::kComplete
-            ? RequestStatus::kOk
-            : RequestStatus::kBudgetExhausted;
+    // Cache hits are recorded as their own SLO kind so their near-zero
+    // latencies never dilute the solve percentiles (docs/observability.md
+    // "SLO tracker" documents the semantics).
+    const RequestStatus status = ledger_.record_solve(
+        sol, elapsed_ms,
+        cache_hit ? obs::SloKind::kCacheHit : obs::SloKind::kSolve);
     const double served = served_value(inst, sol);
     std::ostringstream os;
-    os << "{\"index\":" << req.index;
-    if (!req.id.empty()) os << ",\"id\":\"" << obs::json_escape(req.id) << "\"";
+    write_head(os, req.index, req.id);
     os << ",\"status\":\"" << to_string(status) << "\""
        << ",\"solver\":\"" << obs::json_escape(req.solver.family) << "\""
        << ",\"cache\":\"" << (cache_hit ? "hit" : "miss") << "\""
@@ -478,29 +301,7 @@ class Engine {
        << ",\"solution\":\"" << obs::json_escape(model::to_string(sol))
        << "\"}";
     h_request_ms_.observe(elapsed_ms);
-    // Cache hits are recorded as their own kind so their near-zero
-    // latencies never dilute the solve percentiles (docs/observability.md
-    // "SLO tracker" documents the semantics).
-    slo_.record(elapsed_ms, /*deadline_ok=*/status == RequestStatus::kOk,
-                cache_hit ? obs::SloKind::kCacheHit : obs::SloKind::kSolve);
-
-    if (obs::enabled()) {
-      // Solution quality against the cheap demand/capacity bound, in
-      // permille of the bound (0 = matched the bound, 1000 = served
-      // nothing). The clamp guards rounding noise when served == bound.
-      const double bound = bounds::trivial_bound(inst);
-      const double gap =
-          bound > 0.0
-              ? std::clamp(1000.0 * (bound - served) / bound, 0.0, 1000.0)
-              : 0.0;
-      h_gap_.observe(gap);
-      const auto it = quality_.find(req.solver.family);
-      if (it != quality_.end()) {
-        it->second.solves.inc();
-        it->second.gap_sum.add(
-            static_cast<std::uint64_t>(std::llround(gap)));
-      }
-    }
+    record_quality(inst, served, req.solver.family);
 
     std::string access;
     if (config_.access_log != nullptr) {
@@ -520,24 +321,13 @@ class Engine {
          << ",\"deadline_used_ms\":" << obs::json_number(elapsed_ms) << "}";
       access = al.str();
     }
-    complete(req.index, status, os.str(), std::move(access));
+    complete(req.index, os.str(), std::move(access));
   }
 
   void complete_unsolved(std::size_t index, const std::string& id,
                          RequestStatus status, const std::string& error,
                          double queue_us = 0.0) {
-    // A rejected request is a deadline miss from the client's point of view
-    // -- it asked and got no answer -- so it must drag deadline_hit_rate
-    // down. Invalid requests are client errors, not service failures, and
-    // are deliberately not recorded.
-    if (status == RequestStatus::kRejected) {
-      slo_.record(0.0, /*deadline_ok=*/false, obs::SloKind::kRejected);
-    }
-    std::ostringstream os;
-    os << "{\"index\":" << index;
-    if (!id.empty()) os << ",\"id\":\"" << obs::json_escape(id) << "\"";
-    os << ",\"status\":\"" << to_string(status) << "\""
-       << ",\"error\":\"" << obs::json_escape(error) << "\"}";
+    ledger_.record(status);
     std::string access;
     if (config_.access_log != nullptr) {
       std::ostringstream al;
@@ -548,17 +338,10 @@ class Engine {
          << ",\"queue_us\":" << obs::json_number(queue_us) << "}";
       access = al.str();
     }
-    complete(index, status, os.str(), std::move(access));
+    complete(index, error_line(index, id, status, error), std::move(access));
   }
 
-  void complete(std::size_t index, RequestStatus status, std::string line,
-                std::string access) {
-    switch (status) {
-      case RequestStatus::kOk: ++n_ok_; c_ok_.inc(); break;
-      case RequestStatus::kBudgetExhausted: ++n_budget_; c_budget_.inc(); break;
-      case RequestStatus::kInvalid: ++n_invalid_; c_invalid_.inc(); break;
-      case RequestStatus::kRejected: ++n_rejected_; c_rejected_.inc(); break;
-    }
+  void complete(std::size_t index, std::string line, std::string access) {
     {
       const core::LockGuard lock(done_mu_);
       done_.emplace(index, Done{std::move(line), std::move(access)});
@@ -590,21 +373,12 @@ class Engine {
 
   std::ostream& out_;
   const BatchConfig config_;
-  core::Deadline global_;
+  Drain drain_;
   ResultCache cache_;
 
   std::unique_ptr<par::BoundedQueue<Request>> queue_;
   std::size_t window_ = 0;
   std::size_t total_ = 0;
-
-  core::Mutex inflight_mu_;
-  std::vector<core::Deadline> inflight_ SP_GUARDED_BY(inflight_mu_);
-  std::atomic<bool> draining_{false};
-  // Written once under inflight_mu_ strictly before the release-store of
-  // draining_; readers see it only after draining() observes true
-  // (acquire), so it is immutable from their perspective -- deliberately
-  // not mu-guarded, the rejection path reads it lock-free.
-  std::string drain_reason_;
 
   /// One completed request waiting in the reorder buffer: its response
   /// line plus (when enabled) its access-log line, emitted together.
@@ -618,29 +392,14 @@ class Engine {
   std::map<std::size_t, Done> done_ SP_GUARDED_BY(done_mu_);
   std::size_t next_emit_ SP_GUARDED_BY(done_mu_) = 0;
 
-  std::atomic<std::size_t> n_ok_{0};
-  std::atomic<std::size_t> n_budget_{0};
-  std::atomic<std::size_t> n_invalid_{0};
-  std::atomic<std::size_t> n_rejected_{0};
   std::atomic<std::size_t> inflight_count_{0};
 
-  struct QualityCounters {
-    obs::Counter solves;
-    obs::Counter gap_sum;  // integer permille, divide by solves for mean
-  };
-
-  obs::SloTracker slo_;
-  obs::Counter c_ok_;
-  obs::Counter c_budget_;
-  obs::Counter c_invalid_;
-  obs::Counter c_rejected_;
+  StatusLedger ledger_;
   obs::Counter c_cache_mismatch_;
   obs::Gauge g_queue_depth_;
   obs::Gauge g_inflight_;
   obs::HdrHistogram h_request_ms_;
   obs::HdrHistogram h_queue_us_;
-  obs::HdrHistogram h_gap_;
-  std::map<std::string, QualityCounters> quality_;
 };
 
 }  // namespace

@@ -5,20 +5,24 @@
 // over a bounded admission queue (par::BoundedQueue) into a dedicated
 // par::ThreadPool, and writes one JSON response per request, in input
 // order. The engine composes the existing machinery instead of growing new
-// solver paths: per-request budgets are core::Deadline (clamped under the
-// batch-wide budget via Deadline::after_at_most), solving goes through the
-// same run_solver dispatch the `solve` subcommand uses (so a cache miss is
-// byte-identical to a single-shot solve), results are memoized in an LRU
-// ResultCache keyed by canonical instance fingerprint, and every response
-// -- fresh or cached -- passes through the src/verify/ invariants.
+// solver paths: request parsing, status accounting and drain are the
+// protocol layer it shares with `serve` (src/srv/protocol.hpp), solving
+// goes through the same run_solver dispatch the `solve` subcommand uses
+// (so a cache miss is byte-identical to a single-shot solve), results are
+// memoized in an LRU ResultCache keyed by canonical instance fingerprint,
+// and every response -- fresh or cached -- passes through the src/verify/
+// invariants.
 //
 // Failure isolation is per request: a malformed line, an unreadable
 // instance, or an unknown solver yields a status "invalid" response and
 // the batch continues. A global budget or an interrupt (SIGINT in the CLI)
-// stops admission, cancels the deadlines of in-flight solves (they finish
-// as feasible budget-exhausted incumbents), and answers everything not yet
-// started with status "rejected" -- every input line always gets exactly
-// one response. See docs/serving.md for the request/response schema.
+// drains the batch at any point before its last response, also after the
+// input ran out: admission stops, the deadlines of in-flight solves are
+// cancelled through the global budget's cancel tree (they finish as
+// feasible budget-exhausted incumbents), and everything not yet started
+// is answered with status "rejected" -- every input line always gets
+// exactly one response. See docs/serving.md for the request/response
+// schema.
 
 #include <atomic>
 #include <chrono>
@@ -44,16 +48,6 @@ struct Request {
   /// Set by the engine at admission; queue wait = dequeue time - this.
   std::chrono::steady_clock::time_point admitted_at{};
 };
-
-/// Per-request outcome, serialized into the response `status` field.
-enum class RequestStatus : std::uint8_t {
-  kOk = 0,               // solved to completion
-  kBudgetExhausted = 1,  // deadline hit; response carries the incumbent
-  kInvalid = 2,          // malformed request / instance / unknown solver
-  kRejected = 3,         // never started: drain or global budget exhausted
-};
-
-[[nodiscard]] const char* to_string(RequestStatus status) noexcept;
 
 struct BatchConfig {
   unsigned jobs = 0;            // worker count; 0 = hardware_concurrency
@@ -81,7 +75,7 @@ struct BatchReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  bool interrupted = false;  // a drain was triggered before input ran out
+  bool interrupted = false;  // a drain started before the last response
   /// Rolling-window SLO rollup at drain (obs::SloTracker::Summary
   /// to_string: window, p50/p95/p99 ms, deadline and cache hit-rates).
   std::string slo_summary;

@@ -1,91 +1,22 @@
-#include "src/core/sync.hpp"
 #include "src/srv/serve.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/bench_util/timer.hpp"
 #include "src/core/deadline.hpp"
-#include "src/model/io.hpp"
 #include "src/model/solution.hpp"
+#include "src/model/io.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
-#include "src/race/race.hpp"
-#include "src/srv/engine.hpp"
 #include "src/srv/jsonl.hpp"
+#include "src/srv/protocol.hpp"
 #include "src/srv/session.hpp"
 
 namespace sectorpack::srv {
-
-namespace {
-
-// Same protocol-level bounds as the batch engine (engine.cpp): doubles that
-// cannot name one integer exactly are typos, and budgets beyond ~3 years
-// are indistinguishable from "no limit" (Deadline::after additionally
-// clamps -- defense in depth).
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-constexpr double kMaxTimeLimitSeconds = 1e8;
-
-const JsonValue* find_field(const JsonObject& object, const char* name) {
-  const auto it = object.find(name);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-std::string optional_string_field(const JsonObject& object, const char* name) {
-  const JsonValue* v = find_field(object, name);
-  if (v == nullptr) return {};
-  if (v->kind != JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a string");
-  }
-  return v->string;
-}
-
-double require_number_field(const JsonObject& object, const char* name) {
-  const JsonValue* v = find_field(object, name);
-  if (v == nullptr) {
-    throw std::runtime_error(std::string("missing field '") + name + "'");
-  }
-  if (v->kind != JsonValue::Kind::kNumber) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a number");
-  }
-  return v->number;
-}
-
-std::uint64_t require_integer(const char* name, double value) {
-  if (!(value >= 0.0) || value > kMaxExactInteger ||
-      std::floor(value) != value) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-void check_fields(const JsonObject& object,
-                  std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : object) {
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw std::runtime_error("unknown field '" + key + "' for this op");
-    }
-  }
-}
-
-}  // namespace
 
 ServeOp parse_serve_op(const std::string& line, std::size_t index) {
   const JsonObject object = parse_flat_object(line);
@@ -96,56 +27,14 @@ ServeOp parse_serve_op(const std::string& line, std::size_t index) {
   if (op.op.empty()) throw std::runtime_error("missing field 'op'");
   op.id = optional_string_field(object, "id");
   op.session = optional_string_field(object, "session");
-
-  if (const JsonValue* limit = find_field(object, "time_limit")) {
-    if (limit->kind != JsonValue::Kind::kNumber || !(limit->number >= 0.0) ||
-        std::isnan(limit->number)) {
-      throw std::runtime_error("field 'time_limit' must be a number >= 0");
-    }
-    if (limit->number > kMaxTimeLimitSeconds) {
-      throw std::runtime_error(
-          "field 'time_limit' out of range (max 1e8 seconds)");
-    }
-    op.time_limit = limit->number;
-  }
+  op.time_limit = parse_time_limit(object);
 
   if (op.op == "register") {
     check_fields(object, {"op", "id", "time_limit", "instance",
                           "instance_file", "solver", "seed", "iterations",
                           "portfolio"});
-    op.instance_file = optional_string_field(object, "instance_file");
-    op.instance_text = optional_string_field(object, "instance");
-    if (op.instance_file.empty() == op.instance_text.empty()) {
-      throw std::runtime_error(
-          "exactly one of 'instance_file' and 'instance' is required");
-    }
-    const std::string family = optional_string_field(object, "solver");
-    if (!family.empty()) op.solver.family = family;
-    if (!is_known_solver(op.solver.family)) {
-      throw std::runtime_error("unknown solver '" + op.solver.family + "'");
-    }
-    if (const JsonValue* seed = find_field(object, "seed")) {
-      if (seed->kind != JsonValue::Kind::kNumber) {
-        throw std::runtime_error("field 'seed' must be a number");
-      }
-      op.solver.seed = require_integer("seed", seed->number);
-    }
-    if (const JsonValue* iters = find_field(object, "iterations")) {
-      if (iters->kind != JsonValue::Kind::kNumber) {
-        throw std::runtime_error("field 'iterations' must be a number");
-      }
-      op.solver.iterations = require_integer("iterations", iters->number);
-    }
-    if (const JsonValue* portfolio = find_field(object, "portfolio")) {
-      if (portfolio->kind != JsonValue::Kind::kString) {
-        throw std::runtime_error("field 'portfolio' must be a string");
-      }
-      if (op.solver.family != "race") {
-        throw std::runtime_error("field 'portfolio' requires solver 'race'");
-      }
-      (void)race::parse_portfolio(portfolio->string);
-      op.solver.portfolio = portfolio->string;
-    }
+    parse_solve_target(object, op.instance_file, op.instance_text,
+                       op.solver);
     return op;
   }
 
@@ -209,22 +98,16 @@ std::string ServeReport::to_string() const {
 
 namespace {
 
-/// Everything one run_serve call needs. Sequential op loop plus a monitor
-/// thread that turns the interrupt flag / global budget into a cancel of
-/// the op in flight.
+/// Everything one run_serve call needs: the sequential op loop, the
+/// session store, and the Drain that turns the interrupt flag / global
+/// budget into a cancel of the op in flight.
 class ServeLoop {
  public:
   ServeLoop(std::ostream& out, const ServeConfig& config)
       : out_(out),
         config_(config),
-        global_(config.time_limit >= 0.0
-                    ? core::Deadline::after(config.time_limit)
-                    : core::Deadline::never()),
-        slo_(config.slo_window),
-        c_ok_(obs::counter("serve.requests.ok")),
-        c_budget_(obs::counter("serve.requests.budget_exhausted")),
-        c_invalid_(obs::counter("serve.requests.invalid")),
-        c_rejected_(obs::counter("serve.requests.rejected")),
+        drain_("serve", config.time_limit, config.interrupt),
+        ledger_("serve", config.slo_window),
         c_memo_hits_(obs::counter("serve.memo.hits")),
         c_memo_misses_(obs::counter("serve.memo.misses")),
         g_sessions_(obs::gauge("serve.sessions")),
@@ -233,8 +116,6 @@ class ServeLoop {
         h_dirty_(obs::hdr_histogram("serve.dirty_permille")) {}
 
   ServeReport run(std::istream& in) {
-    std::thread monitor([this] { watch(); });
-
     std::string line;
     std::size_t index = 0;
     while (std::getline(in, line)) {
@@ -250,82 +131,24 @@ class ServeLoop {
     // (and the CLI's final exporter tick) so `serve.sessions` ends at 0.
     store_.clear();
     g_sessions_.set(0.0);
-
-    {
-      const core::LockGuard lock(mu_);
-      stop_ = true;
-    }
-    monitor.join();
-
-    slo_.publish();
+    drain_.stop();
 
     ServeReport report = report_;
-    report.interrupted = draining();
-    report.slo_summary = slo_.summary().to_string();
+    report.ok = ledger_.count(RequestStatus::kOk);
+    report.budget_exhausted = ledger_.count(RequestStatus::kBudgetExhausted);
+    report.invalid = ledger_.count(RequestStatus::kInvalid);
+    report.rejected = ledger_.count(RequestStatus::kRejected);
+    report.interrupted = drain_.draining();
+    report.slo_summary = ledger_.publish_slo();
     return report;
   }
 
  private:
-  // ------------------------------------------------------------------ drain
-
-  void watch() {
-    for (;;) {
-      {
-        const core::LockGuard lock(mu_);
-        if (stop_) return;
-        if (!draining_) {
-          // sp-sync: relaxed poll of the caller's interrupt flag; the 5ms
-          // monitor cadence dominates any propagation delay.
-          if (config_.interrupt != nullptr &&
-              config_.interrupt->load(std::memory_order_relaxed)) {
-            begin_drain_locked("serve draining (interrupted)");
-          } else if (global_.expired()) {
-            begin_drain_locked("global time limit exhausted");
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-
-  void begin_drain_locked(const char* reason) SP_REQUIRES(mu_) {
-    draining_ = true;
-    drain_reason_ = reason;
-    core::note_expired("srv.serve");
-    // The op in flight finishes promptly as a feasible budget-exhausted
-    // incumbent; every later line is rejected before it starts.
-    inflight_.cancel();
-    global_.cancel();
-  }
-
-  [[nodiscard]] bool draining() {
-    const core::LockGuard lock(mu_);
-    if (!draining_) {
-      // The monitor polls at 5ms; checking inline here as well keeps the
-      // first post-interrupt line from slipping through the gap.
-      // sp-sync: relaxed poll of the caller's interrupt flag (see watch()).
-      if (config_.interrupt != nullptr &&
-          config_.interrupt->load(std::memory_order_relaxed)) {
-        begin_drain_locked("serve draining (interrupted)");
-      } else if (global_.expired()) {
-        begin_drain_locked("global time limit exhausted");
-      }
-    }
-    return draining_;
-  }
-
-  // ------------------------------------------------------------------- loop
-
   void handle_line(const std::string& line, std::size_t index) {
     ++report_.requests;
-    if (draining()) {
-      std::string reason;
-      {
-        const core::LockGuard lock(mu_);
-        reason = drain_reason_;
-      }
+    if (drain_.check()) {
       emit_error(index, /*id=*/"", /*session=*/"", RequestStatus::kRejected,
-                 reason);
+                 drain_.reason());
       return;
     }
     ServeOp op;
@@ -340,7 +163,8 @@ class ServeLoop {
       dispatch(op);
     } catch (const std::exception& e) {
       // Validation errors from the session/instance layer (bad demand,
-      // index out of range, ...). The session kept its previous state.
+      // index out of range, unreadable instance, ...). The session kept
+      // its previous state.
       emit_error(op.index, op.id, op.session, RequestStatus::kInvalid,
                  e.what());
     }
@@ -360,17 +184,12 @@ class ServeLoop {
                    "unknown session '" + op.session + "'");
         return;
       }
-      ++report_.ok;
-      c_ok_.inc();
+      ledger_.record(RequestStatus::kOk);
       std::ostringstream os;
-      os << "{\"index\":" << op.index;
-      if (!op.id.empty()) {
-        os << ",\"id\":\"" << obs::json_escape(op.id) << "\"";
-      }
+      write_head(os, op.index, op.id);
       os << ",\"op\":\"close\",\"session\":\""
          << obs::json_escape(op.session) << "\",\"status\":\"ok\"}";
-      out_ << os.str() << "\n";
-      out_.flush();
+      emit(os.str());
       return;
     }
     do_delta(op);
@@ -384,24 +203,13 @@ class ServeLoop {
                      std::to_string(config_.max_sessions) + ")");
       return;
     }
-    model::Instance inst;
-    try {
-      inst = op.instance_file.empty()
-                 ? model::instance_from_string(op.instance_text)
-                 : model::read_instance_file(op.instance_file);
-    } catch (const std::exception& e) {
-      emit_error(op.index, op.id, /*session=*/"", RequestStatus::kInvalid,
-                 e.what());
-      return;
-    }
-
-    const std::string id = store_.create(std::move(inst), op.solver);
+    const std::string id = store_.create(
+        load_target_instance(op.instance_file, op.instance_text), op.solver);
     Session* session = store_.find(id);
     g_sessions_.set(static_cast<double>(store_.size()));
     ++report_.registers;
 
-    const ResolveStats stats = session->solve_initial(arm(op.time_limit));
-    disarm();
+    const ResolveStats stats = session->solve_initial(options(op));
     const double elapsed_ms = timer.elapsed_ms();
     h_register_ms_.observe(elapsed_ms);
     emit_solved(op, id, *session, stats, elapsed_ms);
@@ -415,23 +223,17 @@ class ServeLoop {
       return;
     }
     const bench_util::Timer timer;
-    const core::SolveOptions opts = arm(op.time_limit);
+    const core::SolveOptions opts = options(op);
     ResolveStats stats;
-    try {
-      if (op.op == "customer_add") {
-        stats = session->customer_add(op.customer_rec, opts);
-      } else if (op.op == "customer_remove") {
-        stats = session->customer_remove(op.customer, opts);
-      } else if (op.op == "demand_set") {
-        stats = session->demand_set(op.customer, op.demand, opts);
-      } else {  // antenna_add (parse_serve_op admits nothing else)
-        stats = session->antenna_add(op.antenna, opts);
-      }
-    } catch (...) {
-      disarm();
-      throw;
+    if (op.op == "customer_add") {
+      stats = session->customer_add(op.customer_rec, opts);
+    } else if (op.op == "customer_remove") {
+      stats = session->customer_remove(op.customer, opts);
+    } else if (op.op == "demand_set") {
+      stats = session->demand_set(op.customer, op.demand, opts);
+    } else {  // antenna_add (parse_serve_op admits nothing else)
+      stats = session->antenna_add(op.antenna, opts);
     }
-    disarm();
     const double elapsed_ms = timer.elapsed_ms();
     ++report_.deltas;
     h_delta_ms_.observe(elapsed_ms);
@@ -443,20 +245,11 @@ class ServeLoop {
     emit_solved(op, op.session, *session, stats, elapsed_ms);
   }
 
-  /// Per-op deadline, clamped under the remaining global budget and
-  /// registered so the drain monitor can cancel it mid-solve.
-  core::SolveOptions arm(double time_limit) {
-    const core::Deadline deadline =
-        core::Deadline::after_at_most(time_limit, global_);
-    const core::LockGuard lock(mu_);
-    inflight_ = deadline;
-    if (draining_) deadline.cancel();
-    return core::SolveOptions{deadline};
-  }
-
-  void disarm() {
-    const core::LockGuard lock(mu_);
-    inflight_ = core::Deadline{};
+  /// Per-op deadline, clamped under the remaining global budget and linked
+  /// into its cancel tree, so a drain interrupts the op mid-solve.
+  core::SolveOptions options(const ServeOp& op) const {
+    return core::SolveOptions{
+        core::Deadline::after_at_most(op.time_limit, drain_.global())};
   }
 
   // -------------------------------------------------------------- responses
@@ -465,23 +258,9 @@ class ServeLoop {
                    const Session& session, const ResolveStats& stats,
                    double elapsed_ms) {
     const model::Solution& sol = session.solution();
-    const RequestStatus status =
-        sol.status == model::SolveStatus::kComplete
-            ? RequestStatus::kOk
-            : RequestStatus::kBudgetExhausted;
-    if (status == RequestStatus::kOk) {
-      ++report_.ok;
-      c_ok_.inc();
-    } else {
-      ++report_.budget_exhausted;
-      c_budget_.inc();
-    }
-    slo_.record(elapsed_ms, /*deadline_ok=*/status == RequestStatus::kOk,
-                obs::SloKind::kSolve);
-
+    const RequestStatus status = ledger_.record_solve(sol, elapsed_ms);
     std::ostringstream os;
-    os << "{\"index\":" << op.index;
-    if (!op.id.empty()) os << ",\"id\":\"" << obs::json_escape(op.id) << "\"";
+    write_head(os, op.index, op.id);
     os << ",\"op\":\"" << obs::json_escape(op.op) << "\""
        << ",\"session\":\"" << obs::json_escape(session_id) << "\""
        << ",\"status\":\"" << to_string(status) << "\""
@@ -497,54 +276,28 @@ class ServeLoop {
        << ",\"solve_ms\":" << obs::json_number(elapsed_ms)
        << ",\"solution\":\"" << obs::json_escape(model::to_string(sol))
        << "\"}";
-    out_ << os.str() << "\n";
-    out_.flush();
+    emit(os.str());
   }
 
   void emit_error(std::size_t index, const std::string& id,
                   const std::string& session, RequestStatus status,
                   const std::string& error) {
-    if (status == RequestStatus::kRejected) {
-      ++report_.rejected;
-      c_rejected_.inc();
-      // A rejected op is a deadline miss from the client's point of view;
-      // invalid ops are client errors and are deliberately not recorded
-      // (same accounting as the batch engine, docs/observability.md).
-      slo_.record(0.0, /*deadline_ok=*/false, obs::SloKind::kRejected);
-    } else {
-      ++report_.invalid;
-      c_invalid_.inc();
-    }
-    std::ostringstream os;
-    os << "{\"index\":" << index;
-    if (!id.empty()) os << ",\"id\":\"" << obs::json_escape(id) << "\"";
-    if (!session.empty()) {
-      os << ",\"session\":\"" << obs::json_escape(session) << "\"";
-    }
-    os << ",\"status\":\"" << to_string(status) << "\""
-       << ",\"error\":\"" << obs::json_escape(error) << "\"}";
-    out_ << os.str() << "\n";
+    ledger_.record(status);
+    emit(error_line(index, id, status, error, session));
+  }
+
+  void emit(const std::string& line) {
+    out_ << line << "\n";
     out_.flush();
   }
 
   std::ostream& out_;
   const ServeConfig& config_;
-  core::Deadline global_;
+  Drain drain_;
   SessionStore store_;
-  obs::SloTracker slo_;
+  StatusLedger ledger_;
   ServeReport report_;
 
-  core::Mutex mu_;
-  bool stop_ SP_GUARDED_BY(mu_) = false;
-  bool draining_ SP_GUARDED_BY(mu_) = false;
-  std::string drain_reason_ SP_GUARDED_BY(mu_);
-  core::Deadline inflight_
-      SP_GUARDED_BY(mu_);  // the handle; cancel() itself is thread-safe
-
-  obs::Counter c_ok_;
-  obs::Counter c_budget_;
-  obs::Counter c_invalid_;
-  obs::Counter c_rejected_;
   obs::Counter c_memo_hits_;
   obs::Counter c_memo_misses_;
   obs::Gauge g_sessions_;

@@ -1,9 +1,15 @@
 #include "src/srv/solvers.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 
+#include "src/bounds/upper.hpp"
 #include "src/knapsack/knapsack.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/race/race.hpp"
 #include "src/sectors/annealing.hpp"
 #include "src/sectors/sectors.hpp"
@@ -125,6 +131,41 @@ std::string solver_family_names(const char* sep) {
     joined += kFamilies[i].name;
   }
   return joined;
+}
+
+void record_quality(const model::Instance& inst, double served,
+                    std::string_view family) {
+  struct FamilyCounters {
+    obs::Counter solves;
+    obs::Counter gap_sum;  // integer permille, divide by solves for mean
+  };
+  // Registered on first use, one pair per registry row, so later calls
+  // never take the registration mutex (the batch engine records from its
+  // worker threads).
+  static const obs::HdrHistogram h_gap =
+      obs::hdr_histogram("quality.gap_permille");
+  static const std::array<FamilyCounters, kFamilies.size()> counters = [] {
+    std::array<FamilyCounters, kFamilies.size()> built;
+    for (std::size_t i = 0; i < kFamilies.size(); ++i) {
+      const std::string prefix = std::string("quality.") + kFamilies[i].name;
+      built[i] = {obs::counter(prefix + ".solves"),
+                  obs::counter(prefix + ".gap_permille_sum")};
+    }
+    return built;
+  }();
+  if (!obs::enabled()) return;
+  // The clamp guards rounding noise when served == bound.
+  const double bound = bounds::trivial_bound(inst);
+  const double gap =
+      bound > 0.0 ? std::clamp(1000.0 * (bound - served) / bound, 0.0, 1000.0)
+                  : 0.0;
+  h_gap.observe(gap);
+  if (const SolverFamily* row = find_solver_family(family)) {
+    const FamilyCounters& c =
+        counters[static_cast<std::size_t>(row - kFamilies.data())];
+    c.solves.inc();
+    c.gap_sum.add(static_cast<std::uint64_t>(std::llround(gap)));
+  }
 }
 
 }  // namespace sectorpack::srv

@@ -9,7 +9,8 @@
 // fixed race tie-break priority, a dispatch function building the
 // family's config from a SolverKey, and -- for families that can start
 // from an existing feasible solution -- a warm-start entry point used by
-// the portfolio race's incumbent exchange.
+// the portfolio race's incumbent exchange. The per-family quality
+// telemetry (record_quality) is keyed by the same table.
 
 #include <span>
 #include <string>
@@ -51,5 +52,16 @@ struct SolverFamily {
 /// All family names joined by `sep`, for usage/help text -- generated so
 /// help can never drift from the registry either.
 [[nodiscard]] std::string solver_family_names(const char* sep);
+
+/// Solution-quality telemetry for one finished solve, shared by `sectorpack
+/// solve` and the batch engine: the gap of `served` to
+/// bounds::trivial_bound(inst) in permille of the bound (0 = matched the
+/// bound, 1000 = served nothing) goes into the `quality.gap_permille` HDR
+/// histogram and the `quality.<family>.{solves,gap_permille_sum}`
+/// counters. The per-family counters are registered once, for every
+/// registry row; a `family` outside the registry only feeds the histogram.
+/// A no-op while obs is disabled.
+void record_quality(const model::Instance& inst, double served,
+                    std::string_view family);
 
 }  // namespace sectorpack::srv

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <span>
 #include <sstream>
@@ -551,6 +552,77 @@ TEST(SrvEngine, InterruptFlagDrainsWithRejections) {
   EXPECT_EQ(parse_responses(output).size(), 5u);
 }
 
+// The drain must hold until the last response, not just until the last
+// line is read. Both cases admit every line at once (a queue larger than
+// the input), so the reader reaches end of input before the drain is due;
+// one worker then holds the head-of-line request, an annealing run whose
+// iteration count would take minutes.
+std::string slow_head_then_quick(int quick, const std::string& extra = "") {
+  const std::string inst_text = model::to_string(small_instance());
+  std::string input = json_line(inst_text, ",\"solver\":\"annealing\","
+                                           "\"iterations\":2000000000" +
+                                               extra) +
+                      "\n";
+  for (int i = 0; i < quick; ++i) {
+    input += json_line(inst_text, ",\"solver\":\"greedy\"" + extra) + "\n";
+  }
+  return input;
+}
+
+TEST(SrvEngine, GlobalBudgetAfterEndOfInputRejectsUnstartedRequests) {
+  srv::BatchConfig config;
+  config.jobs = 1;
+  config.queue_capacity = 16;
+  config.time_limit = 0.3;
+  std::string output;
+  const srv::BatchReport report = run(slow_head_then_quick(5), &output, config);
+  const auto responses = parse_responses(output);
+  ASSERT_EQ(responses.size(), 6u);
+  // The head request ran into the global budget; the others never started
+  // before it lapsed, so they are rejected rather than "solved" under an
+  // already-expired deadline.
+  EXPECT_EQ(field(responses[0], "status"), "budget_exhausted");
+  for (std::size_t i = 1; i < responses.size(); ++i) {
+    EXPECT_EQ(field(responses[i], "status"), "rejected") << "request " << i;
+  }
+  EXPECT_EQ(report.budget_exhausted, 1u);
+  EXPECT_EQ(report.rejected, 5u);
+  EXPECT_TRUE(report.interrupted);
+}
+
+TEST(SrvEngine, InterruptAfterEndOfInputCancelsInFlightSolves) {
+  srv::BatchConfig config;
+  config.jobs = 1;
+  config.queue_capacity = 16;
+  std::atomic<bool> interrupt{false};
+  config.interrupt = &interrupt;
+  std::string output;
+  srv::BatchReport report;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    // Each request may run for 5 s on its own budget; the interrupt comes
+    // long after the three lines were read.
+    std::thread signaller([&interrupt] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      interrupt.store(true);
+    });
+    report = run(slow_head_then_quick(2, ",\"time_limit\":5"), &output,
+                 config);
+    signaller.join();
+  }
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_LT(elapsed_s, 2.5) << "the interrupt did not cancel the solve";
+  const auto responses = parse_responses(output);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(field(responses[0], "status"), "budget_exhausted");
+  EXPECT_EQ(field(responses[1], "status"), "rejected");
+  EXPECT_EQ(field(responses[2], "status"), "rejected");
+  EXPECT_EQ(report.rejected, 2u);
+  EXPECT_TRUE(report.interrupted);
+}
+
 TEST(SrvEngine, ParallelBatchIsCompleteAndSound) {
   // 60 requests over 8 workers with a tiny admission queue: every request
   // gets its response, in input order, and each response obeys the cache
@@ -728,6 +800,36 @@ TEST(SrvSolverRegistry, SingleSourceOfTruth) {
   EXPECT_NE(srv::find_solver_family("local-search")->run_seeded, nullptr);
   EXPECT_NE(srv::find_solver_family("annealing")->run_seeded, nullptr);
   EXPECT_EQ(srv::find_solver_family("greedy")->run_seeded, nullptr);
+}
+
+TEST(SrvQuality, RecordQualityFeedsTheFamilyCountersAndTheGapHistogram) {
+  const model::Instance inst = small_instance();
+  const double bound = bounds::trivial_bound(inst);
+  ASSERT_GT(bound, 0.0);
+  obs::set_enabled(true);
+  obs::reset();
+  srv::record_quality(inst, bound / 4.0, "greedy");  // gap 750 permille
+  srv::record_quality(inst, bound, "not-a-family");   // histogram only
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+
+  EXPECT_EQ(snap.counter("quality.greedy.solves"), 1u);
+  EXPECT_EQ(snap.counter("quality.greedy.gap_permille_sum"), 750u);
+  // Every registry family has its counter pair, recorded or not.
+  for (const srv::SolverFamily& family : srv::solver_families()) {
+    bool registered = false;
+    for (const auto& [name, value] : snap.counters) {
+      registered |= name == std::string("quality.") + family.name + ".solves";
+    }
+    EXPECT_TRUE(registered) << family.name;
+  }
+  const obs::HdrHistogramSnapshot* gap = snap.hdr_histogram(
+      "quality.gap_permille");
+  ASSERT_NE(gap, nullptr);
+  EXPECT_EQ(gap->count, 2u);
+  EXPECT_DOUBLE_EQ(gap->min, 0.0);
+  EXPECT_DOUBLE_EQ(gap->max, 750.0);
 }
 
 }  // namespace

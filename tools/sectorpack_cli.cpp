@@ -104,18 +104,21 @@ struct Args {
   }
 };
 
-/// --time-limit SEC -> a Deadline for the solver-facing commands. Absent
-/// flag means unlimited; zero is allowed (an already-expired deadline
-/// exercises the degradation path and still exits 0).
+/// --time-limit SEC, or -1 when the flag is absent (unlimited). Zero is
+/// allowed: an already-expired deadline exercises the degradation path and
+/// still exits 0.
+double time_limit_flag(const Args& args) {
+  if (!args.has("time-limit")) return -1.0;
+  const double seconds = args.get_double("time-limit", 0.0);
+  if (seconds < 0.0) throw UsageError("--time-limit must be >= 0 seconds");
+  return seconds;
+}
+
+/// --time-limit SEC -> a Deadline for the solver-facing commands.
 core::SolveOptions solve_options(const Args& args) {
   core::SolveOptions opts;
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    opts.deadline = core::Deadline::after(seconds);
-  }
+  const double seconds = time_limit_flag(args);
+  if (seconds >= 0.0) opts.deadline = core::Deadline::after(seconds);
   return opts;
 }
 
@@ -362,18 +365,9 @@ int cmd_solve(const Args& args) {
   const double bound = inst.is_value_weighted()
                            ? bounds::orientation_free_bound(inst, opts)
                            : bounds::flow_window_bound(inst, opts);
-  if (obs::enabled()) {
-    // Solution-quality telemetry in permille of the cheap demand/capacity
-    // bound, mirroring the batch engine's quality.* metrics so one-shot
-    // solves and batch solves are comparable (docs/observability.md).
-    const double tb = bounds::trivial_bound(inst);
-    const double gap =
-        tb > 0.0 ? std::clamp(1000.0 * (tb - served) / tb, 0.0, 1000.0) : 0.0;
-    obs::hdr_histogram("quality.gap_permille").observe(gap);
-    obs::counter("quality." + solver + ".solves").inc();
-    obs::counter("quality." + solver + ".gap_permille_sum")
-        .add(static_cast<std::uint64_t>(std::llround(gap)));
-  }
+  // Same quality.* metrics as the batch engine, so one-shot solves and
+  // batch solves are comparable (docs/observability.md).
+  srv::record_quality(inst, served, solver);
   std::cerr << "solver=" << solver
             << " status=" << model::to_string(sol.status)
             << " served_value=" << served << " bound=" << bound << " ratio="
@@ -584,10 +578,56 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-/// SIGINT -> cooperative drain: the batch engine polls this flag, stops
-/// admission, cancels in-flight deadlines, and still writes one response
-/// per request. A lock-free atomic store is async-signal-safe.
+/// SIGINT -> cooperative drain: the batch and serve engines poll this flag,
+/// stop admission, cancel in-flight deadlines, and still write one
+/// response per line. A lock-free atomic store is async-signal-safe.
 std::atomic<bool> g_interrupt{false};
+
+/// The flags `batch` and `serve` share, validated the same way for both:
+/// --time-limit (global budget) and --slo-window; also points the engine
+/// at the SIGINT flag.
+template <typename Config>
+void engine_flags(const Args& args, Config& config) {
+  config.time_limit = time_limit_flag(args);
+  config.interrupt = &g_interrupt;
+  config.slo_window = args.get_size("slo-window", config.slo_window);
+  if (config.slo_window == 0) {
+    throw UsageError("--slo-window must be >= 1 requests");
+  }
+}
+
+/// Runs `engine(in, out)` over the --in/--out streams (`-` = stdin/stdout)
+/// with SIGINT routed to g_interrupt for the duration -- the previous
+/// handler is restored afterwards, so a second SIGINT kills the process
+/// the normal way -- and checks that the output was written.
+template <typename Engine>
+auto run_engine(const std::string& in_path, const std::string& out_path,
+                Engine engine) {
+  std::ifstream fin;
+  std::istream* in = &std::cin;
+  if (in_path != "-") {
+    fin.open(in_path);
+    if (!fin) throw std::runtime_error("cannot open " + in_path);
+    in = &fin;
+  }
+  std::ofstream fout;
+  std::ostream* out = &std::cout;
+  if (out_path != "-") {
+    fout.open(out_path);
+    if (!fout) throw std::runtime_error("cannot open " + out_path);
+    out = &fout;
+  }
+
+  using SignalHandler = void (*)(int);
+  const SignalHandler previous = std::signal(
+      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
+  const auto report = engine(*in, *out);
+  if (previous != SIG_ERR) std::signal(SIGINT, previous);
+
+  out->flush();
+  if (!*out) throw std::runtime_error("error writing " + out_path);
+  return report;
+}
 
 int cmd_batch(const Args& args) {
   require_known(args, {"in", "out", "jobs", "time-limit", "cache-entries",
@@ -596,20 +636,9 @@ int cmd_batch(const Args& args) {
                        "slo-window"});
   srv::BatchConfig config;
   config.jobs = static_cast<unsigned>(args.get_size("jobs", 0));
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    config.time_limit = seconds;
-  }
   config.cache_entries = args.get_size("cache-entries", 128);
   config.queue_capacity = args.get_size("queue-capacity", 0);
-  config.interrupt = &g_interrupt;
-  config.slo_window = args.get_size("slo-window", config.slo_window);
-  if (config.slo_window == 0) {
-    throw UsageError("--slo-window must be >= 1 requests");
-  }
+  engine_flags(args, config);
 
   std::ofstream access_log;
   const std::string access_path = args.get("access-log", "");
@@ -623,31 +652,10 @@ int cmd_batch(const Args& args) {
   if (in_path.empty()) {
     throw UsageError("--in <requests.jsonl> is required ('-' for stdin)");
   }
-  const std::string out_path = args.get("out", "-");
-
-  std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (in_path != "-") {
-    fin.open(in_path);
-    if (!fin) throw std::runtime_error("cannot open " + in_path);
-    in = &fin;
-  }
-  std::ofstream fout;
-  std::ostream* out = &std::cout;
-  if (out_path != "-") {
-    fout.open(out_path);
-    if (!fout) throw std::runtime_error("cannot open " + out_path);
-    out = &fout;
-  }
-
-  using SignalHandler = void (*)(int);
-  const SignalHandler previous = std::signal(
-      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
-  const srv::BatchReport report = srv::run_batch(*in, *out, config);
-  if (previous != SIG_ERR) std::signal(SIGINT, previous);
-
-  out->flush();
-  if (!*out) throw std::runtime_error("error writing " + out_path);
+  const srv::BatchReport report = run_engine(
+      in_path, args.get("out", "-"), [&](std::istream& in, std::ostream& out) {
+        return srv::run_batch(in, out, config);
+      });
   if (!access_path.empty()) {
     access_log.flush();
     if (!access_log) throw std::runtime_error("error writing " + access_path);
@@ -661,49 +669,17 @@ int cmd_serve(const Args& args) {
                        "trace-out", "metrics-out", "metrics-jsonl",
                        "metrics-interval", "slo-window"});
   srv::ServeConfig config;
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    config.time_limit = seconds;
-  }
+  engine_flags(args, config);
   config.max_sessions = args.get_size("max-sessions", config.max_sessions);
   if (config.max_sessions == 0) {
     throw UsageError("--max-sessions must be >= 1");
   }
-  config.interrupt = &g_interrupt;
-  config.slo_window = args.get_size("slo-window", config.slo_window);
-  if (config.slo_window == 0) {
-    throw UsageError("--slo-window must be >= 1 requests");
-  }
 
-  const std::string in_path = args.get("in", "-");
-  const std::string out_path = args.get("out", "-");
-
-  std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (in_path != "-") {
-    fin.open(in_path);
-    if (!fin) throw std::runtime_error("cannot open " + in_path);
-    in = &fin;
-  }
-  std::ofstream fout;
-  std::ostream* out = &std::cout;
-  if (out_path != "-") {
-    fout.open(out_path);
-    if (!fout) throw std::runtime_error("cannot open " + out_path);
-    out = &fout;
-  }
-
-  using SignalHandler = void (*)(int);
-  const SignalHandler previous = std::signal(
-      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
-  const srv::ServeReport report = srv::run_serve(*in, *out, config);
-  if (previous != SIG_ERR) std::signal(SIGINT, previous);
-
-  out->flush();
-  if (!*out) throw std::runtime_error("error writing " + out_path);
+  const srv::ServeReport report = run_engine(
+      args.get("in", "-"), args.get("out", "-"),
+      [&](std::istream& in, std::ostream& out) {
+        return srv::run_serve(in, out, config);
+      });
   std::cerr << "serve " << report.to_string() << "\n";
   return 0;
 }
